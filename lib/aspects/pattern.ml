@@ -1,8 +1,8 @@
 type t = string
 
 (* Greedy-free wildcard matching: '*' matches any substring. *)
-let matches pattern name =
-  let plen = String.length pattern and nlen = String.length name in
+let matches_dp pattern name =
+  let nlen = String.length name in
   (* dp.(i) = set of positions in [name] reachable after consuming the first
      [i] pattern characters; represented as a bool array. *)
   let current = Array.make (nlen + 1) false in
@@ -24,8 +24,13 @@ let matches pattern name =
       done
   in
   String.iter step pattern;
-  ignore plen;
   current.(nlen)
+
+(* Star-free patterns (most class patterns, and every literal inter-type
+   target) are a plain string comparison: no DP array. *)
+let matches pattern name =
+  if String.contains pattern '*' then matches_dp pattern name
+  else String.equal pattern name
 
 let is_wildcard p = String.contains p '*'
 

@@ -570,7 +570,7 @@ let log_call text =
          "log",
          [ Code.Jexpr.E_name "thisJoinPoint"; Code.Jexpr.E_string text ] ))
 
-let random_advice rng i =
+let advice_on rng i pointcut =
   let time =
     Prng.choose rng
       Aspects.Advice.[ Before; After; After_returning; Around ]
@@ -581,7 +581,84 @@ let random_advice rng i =
     | Aspects.Advice.Around -> [ log_call tag; Aspects.Advice.proceed ]
     | _ -> [ log_call tag ]
   in
-  Aspects.Advice.make ~name:tag time (random_pointcut rng) body
+  Aspects.Advice.make ~name:tag time (pointcut ()) body
+
+(* Pointcuts the weaver dispatches by literal enclosing class
+   ([Weaver.Matcher.class_key]), beside the keyless shapes it must not
+   key: a disjunction over two different literal classes and
+   [within(literal) && call(...)], whose call class names the receiver. *)
+let class_pointcut rng =
+  let pat () = Prng.choose rng pattern_pool in
+  let cls = Prng.choose rng class_names in
+  match Prng.int rng 5 with
+  | 0 -> Aspects.Pointcut.execution cls (pat ())
+  | 1 ->
+      let other =
+        Prng.choose rng
+          (List.filter (fun n -> not (String.equal n cls)) class_names)
+      in
+      Aspects.Pointcut.Or
+        ( Aspects.Pointcut.execution cls (pat ()),
+          Aspects.Pointcut.execution other (pat ()) )
+  | 2 ->
+      Aspects.Pointcut.And
+        (Aspects.Pointcut.within cls, Aspects.Pointcut.call (pat ()) (pat ()))
+  | 3 ->
+      Aspects.Pointcut.And
+        (Aspects.Pointcut.set_field (pat ()) "f", Aspects.Pointcut.within cls)
+  | _ ->
+      Aspects.Pointcut.Or
+        ( Aspects.Pointcut.execution cls (pat ()),
+          Aspects.Pointcut.And
+            (Aspects.Pointcut.within cls, Aspects.Pointcut.call "*" (pat ())) )
+
+let random_advice rng i =
+  if Prng.chance rng 1 3 then advice_on rng i (fun () -> class_pointcut rng)
+  else advice_on rng i (fun () -> random_pointcut rng)
+
+(* A per-class family, the shape concern-generated aspects take: one
+   execution advice on every method of each program class, interleaved
+   with wildcard advice so the dispatch must merge keyed and keyless
+   advice back into declaration order. *)
+let per_class_advices rng classes =
+  let i = ref (-1) in
+  let next () = incr i; !i in
+  List.concat_map
+    (fun cls ->
+      let keyed =
+        advice_on rng (next ()) (fun () -> Aspects.Pointcut.execution cls "*")
+      in
+      if Prng.bool rng then
+        [ keyed; advice_on rng (next ()) (fun () -> random_pointcut rng) ]
+      else [ keyed ])
+    classes
+
+(* Inter-type members on literal and wildcard class patterns. A field's
+   name is per aspect, so when two of an aspect's declarations reach one
+   class, the first in declaration order wins ([Code.Jdecl.add_field]
+   keeps the existing field) — order-sensitive, like the advice merge. *)
+let random_intertype rng aspect_name =
+  let pattern = Prng.choose rng [ "C*"; "*"; "C0"; "C1"; "Account" ] in
+  if Prng.chance rng 1 4 then
+    Aspects.Aspect.It_method
+      ( pattern,
+        {
+          Code.Jdecl.method_name = "it_" ^ aspect_name;
+          method_mods = [ Code.Jdecl.M_public ];
+          return_type = Code.Jtype.T_int;
+          params = [];
+          throws = [];
+          body = Some (random_body rng pattern);
+        } )
+  else
+    Aspects.Aspect.It_field
+      ( pattern,
+        {
+          Code.Jdecl.field_name = "it_" ^ aspect_name;
+          field_type = Prng.choose rng Code.Jtype.[ T_int; T_double ];
+          field_mods = [ Code.Jdecl.M_private ];
+          field_init = None;
+        } )
 
 type weave_case = {
   program : Code.Junit.program;
@@ -590,9 +667,9 @@ type weave_case = {
 
 let weave_case rng =
   let n_classes = Prng.range rng 1 3 in
+  let names = List.filteri (fun i _ -> i < n_classes) class_names in
   let classes =
-    List.filteri (fun i _ -> i < n_classes) class_names
-    |> List.map (fun name -> Code.Jdecl.Class (random_class rng name))
+    List.map (fun name -> Code.Jdecl.Class (random_class rng name)) names
   in
   let program = [ Code.Junit.unit_ ~package:"fuzz" classes ] in
   let n_aspects = Prng.range rng 1 4 in
@@ -602,21 +679,13 @@ let weave_case rng =
       (fun i seq ->
         let name = Printf.sprintf "A%d" i in
         let intertypes =
-          if Prng.chance rng 1 4 then
-            [
-              Aspects.Aspect.It_field
-                ( Prng.choose rng [ "C*"; "*" ],
-                  {
-                    Code.Jdecl.field_name = "it_" ^ name;
-                    field_type = Code.Jtype.T_int;
-                    field_mods = [ Code.Jdecl.M_private ];
-                    field_init = None;
-                  } );
-            ]
+          if Prng.chance rng 1 3 then
+            List.init (Prng.range rng 1 2) (fun _ -> random_intertype rng name)
           else []
         in
         let advices =
-          List.init (Prng.range rng 1 2) (fun j -> random_advice rng j)
+          if Prng.chance rng 1 4 then per_class_advices rng names
+          else List.init (Prng.range rng 1 4) (fun j -> random_advice rng j)
         in
         {
           Aspects.Generator.aspect =

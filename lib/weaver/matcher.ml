@@ -11,6 +11,28 @@ let rec kinds = function
       (ex || ey, st || sy)
   | Aspects.Pointcut.Not x -> kinds x
 
+(* The literal class every shadow a pointcut matches must be lexically
+   within, when the pointcut pins one: [execution(C.m)] and [within(C)]
+   with a star-free [C] name the enclosing class of every match; a
+   conjunction inherits either side's key; a disjunction keeps a key only
+   when both sides agree. [call]/[set] class patterns name the *receiver*
+   (or field target), which may differ from the enclosing class — and an
+   unresolved receiver matches any class pattern — so they never key, and
+   neither does [Not]. *)
+let rec class_key = function
+  | Aspects.Pointcut.Execution { Aspects.Pattern.mp_class = p; _ }
+  | Aspects.Pointcut.Within p ->
+      if Aspects.Pattern.is_wildcard p then None else Some p
+  | Aspects.Pointcut.And (x, y) -> (
+      match class_key x with Some _ as k -> k | None -> class_key y)
+  | Aspects.Pointcut.Or (x, y) -> (
+      match (class_key x, class_key y) with
+      | Some kx, Some ky when String.equal kx ky -> Some kx
+      | _ -> None)
+  | Aspects.Pointcut.Call _ | Aspects.Pointcut.Set_field _
+  | Aspects.Pointcut.Not _ ->
+      None
+
 (* ---- tree-walking baseline ----------------------------------------------- *)
 
 (* The original interpreter over the pointcut AST: re-examines the node
@@ -84,15 +106,10 @@ let profile = Vm.Profile.create ~prefix:"matcher" op_names
    only ever runs on the domain that compiled it. *)
 let contains_sub s needle =
   let n = String.length needle and len = String.length s in
-  if n = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + n <= len do
-      if String.sub s !i n = needle then found := true else incr i
-    done;
-    !found
-  end
+  (* compared in place: no [String.sub] per scanned position *)
+  let rec at i j = j = n || (s.[i + j] = needle.[j] && at i (j + 1)) in
+  let rec from i = i + n <= len && (at i 0 || from (i + 1)) in
+  from 0
 
 let compile_pattern sh p =
   let len = String.length p in

@@ -37,3 +37,11 @@ val kinds : Aspects.Pointcut.t -> bool * bool
     [within] pointcut wants neither (it constrains, it does not select),
     so advice gated on it is inert. The weaver, the joinpoint index and
     the interference analysis all share this gate. *)
+
+val class_key : Aspects.Pointcut.t -> string option
+(** [Some c] when every shadow the pointcut can match lies lexically within
+    the class named [c]: [execution(c.m)] or [within(c)] with a star-free
+    [c], either conjunct of an [And], both sides of an [Or] when they
+    agree. [call], [set] and [Not] never key — their class patterns name
+    the receiver, not the enclosing class. The weaver dispatches keyed
+    advice only to the class of that name. *)

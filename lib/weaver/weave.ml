@@ -154,11 +154,11 @@ let apply_intertypes (aspect : Aspects.Aspect.t) program =
   | intertypes ->
       Code.Junit.map_classes (apply_intertypes_to_class intertypes) program
 
-(* Weave one aspect's advice into one class; [record] receives each advice
-   application. The scope of a method only reads the class itself, so
-   per-class weaving is a pure function of (class, aspect). *)
-let weave_class_with (aspect : Aspects.Aspect.t) record (c : Code.Jdecl.class_)
-    =
+(* Weave a list of one aspect's advice (declaration order) into one class;
+   [record] receives each advice application. The scope of a method only
+   reads the class itself, so per-class weaving is a pure function of
+   (class, advice). *)
+let weave_advices_into_class advices record (c : Code.Jdecl.class_) =
   (* Stage each advice's decider once per class: [Matcher.matches pc] pays
      the decider-cache lookup (a structural hash of the pointcut AST) at
      partial application, so resolving it here keeps the per-method and
@@ -168,7 +168,7 @@ let weave_class_with (aspect : Aspects.Aspect.t) record (c : Code.Jdecl.class_)
       (fun (a : Aspects.Advice.t) ->
         let wants_exec, wants_stmt = is_execution_advice a in
         (a, wants_exec, wants_stmt, Matcher.matches a.Aspects.Advice.pointcut))
-      aspect.Aspects.Aspect.advices
+      advices
   in
   Code.Jdecl.map_methods
     (fun m ->
@@ -205,6 +205,9 @@ let weave_class_with (aspect : Aspects.Aspect.t) record (c : Code.Jdecl.class_)
           { m with Code.Jdecl.body = Some body })
     c
 
+let weave_class_with (aspect : Aspects.Aspect.t) =
+  weave_advices_into_class aspect.Aspects.Aspect.advices
+
 let weave_one (aspect : Aspects.Aspect.t) program =
   let applications = ref [] in
   let record advice_name shadow =
@@ -235,17 +238,84 @@ let weave_scan generated program =
     { program; applications = [] }
     (List.rev (Precedence.order generated))
 
+(* --- advice dispatch ---------------------------------------------------- *)
+
+(* One aspect's advice and inter-type declarations, split by the literal
+   class they can reach: advice whose pointcut pins an enclosing class
+   ([Matcher.class_key]) and inter-types with a star-free pattern go in a
+   table under that class name; the rest apply anywhere. Each item keeps
+   its declaration position, so a class's share is the merge of its
+   keyed items with the keyless ones in declaration order — exactly the
+   sublist of the aspect's declarations that can apply to it. Per-class
+   aspects (one [execution] advice per target class) thus cost
+   O(classes + advices) instead of O(classes × advices). *)
+type 'a split = {
+  keyed : (string, (int * 'a) list) Hashtbl.t;  (* declaration order *)
+  keyless : (int * 'a) list;
+  keyless_items : 'a list;
+}
+
+let split key_of items =
+  let keyed = Hashtbl.create 16 in
+  let keyless = ref [] in
+  List.iteri
+    (fun pos item ->
+      match key_of item with
+      | Some k ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt keyed k) in
+          Hashtbl.replace keyed k ((pos, item) :: prev)
+      | None -> keyless := (pos, item) :: !keyless)
+    items;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) keyed;
+  let keyless = List.rev !keyless in
+  { keyed; keyless; keyless_items = List.map snd keyless }
+
+(* The declarations of [sp] that can apply to the class named [name]. *)
+let for_class sp name =
+  match Hashtbl.find_opt sp.keyed name with
+  | None -> sp.keyless_items
+  | Some keyed ->
+      let rec merge a b =
+        match (a, b) with
+        | [], l | l, [] -> List.map snd l
+        | (i, x) :: a', (j, _) :: _ when i < j -> x :: merge a' b
+        | _, (_, y) :: b' -> y :: merge a b'
+      in
+      merge keyed sp.keyless
+
+type dispatch = {
+  aspect : Aspects.Aspect.t;
+  advices : Aspects.Advice.t split;
+  intertypes : Aspects.Aspect.intertype split;
+}
+
+let intertype_key = function
+  | Aspects.Aspect.It_field (p, _) | Aspects.Aspect.It_method (p, _) ->
+      if Aspects.Pattern.is_wildcard p then None else Some p
+
+let dispatch_of (aspect : Aspects.Aspect.t) =
+  {
+    aspect;
+    advices =
+      split
+        (fun (a : Aspects.Advice.t) -> Matcher.class_key a.Aspects.Advice.pointcut)
+        aspect.Aspects.Aspect.advices;
+    intertypes = split intertype_key aspect.Aspects.Aspect.intertypes;
+  }
+
 (* --- the indexed, class-major weaver --------------------------------- *)
 
-(* Weave the whole ordered aspect chain into one class. The per-class
-   joinpoint index answers "can this aspect apply here at all" — when it
-   cannot, the class is not traversed for that aspect. The execution table
-   survives advice weaving (statement rewrites never add or remove
-   methods); only inter-type declarations invalidate it. Returns the woven
-   class and the applications per aspect position. *)
-let weave_class_chain (ordered : Aspects.Aspect.t array)
-    (c0 : Code.Jdecl.class_) =
-  let n = Array.length ordered in
+(* Weave the whole ordered aspect chain into one class. Each aspect
+   contributes only its declarations that can reach this class (the
+   dispatch above); the per-class joinpoint index then answers "can this
+   advice apply here at all" — when none can, the class is not traversed
+   for that aspect. The execution table survives advice weaving
+   (statement rewrites never add or remove methods); only inter-type
+   declarations invalidate it. Returns the woven class and the
+   applications per aspect position. *)
+let weave_class_chain (dispatch : dispatch array) (c0 : Code.Jdecl.class_) =
+  let n = Array.length dispatch in
+  let name = c0.Code.Jdecl.class_name in
   let apps = Array.make n [] in
   let c = ref c0 in
   let exec_ix = ref None in
@@ -267,8 +337,8 @@ let weave_class_chain (ordered : Aspects.Aspect.t array)
         ix
   in
   for i = 0 to n - 1 do
-    let aspect = ordered.(i) in
-    (match aspect.Aspects.Aspect.intertypes with
+    let d = dispatch.(i) in
+    (match for_class d.intertypes name with
     | [] -> ()
     | intertypes ->
         let c' = apply_intertypes_to_class intertypes !c in
@@ -277,6 +347,7 @@ let weave_class_chain (ordered : Aspects.Aspect.t array)
           exec_ix := None;
           stmt_ix := None
         end);
+    let advices = for_class d.advices name in
     let touches =
       List.exists
         (fun (a : Aspects.Advice.t) ->
@@ -285,7 +356,7 @@ let weave_class_chain (ordered : Aspects.Aspect.t array)
           && Index.exec_touches (exec_index ()) a.Aspects.Advice.pointcut)
           || wants_stmt
              && Index.stmt_touches (stmt_index ()) a.Aspects.Advice.pointcut)
-        aspect.Aspects.Aspect.advices
+        advices
     in
     if touches then begin
       let recorded = ref [] in
@@ -293,13 +364,13 @@ let weave_class_chain (ordered : Aspects.Aspect.t array)
         Obs.incr "weave.joinpoint.match" [];
         recorded :=
           {
-            aspect_name = aspect.Aspects.Aspect.aspect_name;
+            aspect_name = d.aspect.Aspects.Aspect.aspect_name;
             advice_name;
             at = Joinpoint.describe shadow;
           }
           :: !recorded
       in
-      c := weave_class_with aspect record !c;
+      c := weave_advices_into_class advices record !c;
       apps.(i) <- List.rev !recorded;
       (* statement rewrites invalidate the call/set tables only *)
       stmt_ix := None
@@ -316,10 +387,13 @@ type cached = {
 let class_equal a b =
   a == b || Code.Jdecl.equal_type_decl (Code.Jdecl.Class a) (Code.Jdecl.Class b)
 
-let ordered_aspects generated =
+(* The aspects in weave order (reverse precedence), each with its
+   dispatch — built once per weave, and kept across re-weaves. *)
+let ordered_dispatch generated =
   Array.of_list
     (List.map
-       (fun (g : Aspects.Generator.generated) -> g.Aspects.Generator.aspect)
+       (fun (g : Aspects.Generator.generated) ->
+         dispatch_of g.Aspects.Generator.aspect)
        (List.rev (Precedence.order generated)))
 
 let emit_precedence generated =
@@ -339,8 +413,8 @@ let emit_precedence generated =
    [lookup] for a cached result first. Applications are reassembled
    aspect-major (aspect, then class, then method — the order the
    aspect-major baseline reports them in). *)
-let weave_classes (ordered : Aspects.Aspect.t array) ~lookup program =
-  let n = Array.length ordered in
+let weave_classes (dispatch : dispatch array) ~lookup program =
+  let n = Array.length dispatch in
   let per_aspect = Array.make n [] in
   let cache = ref Sm.empty in
   let program' =
@@ -350,7 +424,7 @@ let weave_classes (ordered : Aspects.Aspect.t array) ~lookup program =
           match lookup c with
           | Some e -> e
           | None ->
-              let woven, apps = weave_class_chain ordered c in
+              let woven, apps = weave_class_chain dispatch c in
               { src = c; woven; apps }
         in
         cache :=
@@ -380,14 +454,14 @@ let weave generated program =
     ~args:[ ("aspects", Obs.Event.V_int (List.length generated)) ]
   @@ fun () ->
   emit_precedence generated;
-  let ordered = ordered_aspects generated in
-  fst (weave_classes ordered ~lookup:(fun _ -> None) program)
+  let dispatch = ordered_dispatch generated in
+  fst (weave_classes dispatch ~lookup:(fun _ -> None) program)
 
 (* --- incremental re-weave -------------------------------------------- *)
 
 type state = {
   generated : Aspects.Generator.generated list;
-  ordered : Aspects.Aspect.t array;
+  dispatch : dispatch array;  (* weave order; built once by [initial] *)
   cache : cached list Sm.t;  (* by class name; lists cover duplicates *)
   last : result;
 }
@@ -397,9 +471,9 @@ let initial generated program =
     ~args:[ ("aspects", Obs.Event.V_int (List.length generated)) ]
   @@ fun () ->
   emit_precedence generated;
-  let ordered = ordered_aspects generated in
-  let last, cache = weave_classes ordered ~lookup:(fun _ -> None) program in
-  { generated; ordered; cache; last }
+  let dispatch = ordered_dispatch generated in
+  let last, cache = weave_classes dispatch ~lookup:(fun _ -> None) program in
+  { generated; dispatch; cache; last }
 
 let result_of st = st.last
 
@@ -418,5 +492,5 @@ let reweave st program =
     | None -> Obs.incr "weave.inc.rewoven" []);
     hit
   in
-  let last, cache = weave_classes st.ordered ~lookup program in
+  let last, cache = weave_classes st.dispatch ~lookup program in
   { st with cache; last }

@@ -19,7 +19,12 @@
 
     {!weave} resolves pointcuts against the per-class joinpoint index
     ({!Index}) and weaves class-major: each class runs the full aspect
-    chain, skipping aspects the index proves cannot apply. Because a
+    chain, skipping aspects the index proves cannot apply. Advice is
+    dispatched by the literal enclosing class its pointcut pins
+    ({!Matcher.class_key}), and inter-types by their star-free pattern,
+    so a class only ever sees the declarations that can reach it, in
+    declaration order; per-class aspects then weave in O(classes +
+    advices) rather than O(classes × advices). Because a
     method's weave only reads its own class, this produces the same
     program and the same application list as the aspect-major full scan,
     which is kept as {!weave_scan} — the differential baseline pinned by

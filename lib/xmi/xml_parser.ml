@@ -9,7 +9,7 @@ let is_name_start c =
 
 let is_name_char c = is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let unescape s =
+let unescape_entities s =
   let len = String.length s in
   let buf = Buffer.create len in
   let rec walk i =
@@ -47,6 +47,10 @@ let unescape s =
   in
   walk 0
 
+(* Most values hold no entity reference: those come back as they are,
+   without a copy through a buffer. *)
+let unescape s = if String.contains s '&' then unescape_entities s else s
+
 type state = {
   src : string;
   mutable pos : int;
@@ -54,9 +58,21 @@ type state = {
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
-let looking_at st prefix =
+(* [prefix] occurs in [src] at [i], compared in place (no [String.sub]). *)
+let occurs_at src i prefix =
   let n = String.length prefix in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = prefix
+  i + n <= String.length src
+  &&
+  let rec from j = j = n || (src.[i + j] = prefix.[j] && from (j + 1)) in
+  from 0
+
+let looking_at st prefix = occurs_at st.src st.pos prefix
+
+(* The first index at or after [i] where [marker] occurs. *)
+let rec find_from src i marker =
+  if i + String.length marker > String.length src then None
+  else if occurs_at src i marker then Some i
+  else find_from src (i + 1) marker
 
 let skip_spaces st =
   while st.pos < String.length st.src && is_space st.src.[st.pos] do
@@ -117,28 +133,14 @@ let skip_misc st =
   let rec loop () =
     skip_spaces st;
     if looking_at st "<!--" then begin
-      match
-        let rec find i =
-          if i + 3 > String.length st.src then None
-          else if String.sub st.src i 3 = "-->" then Some i
-          else find (i + 1)
-        in
-        find (st.pos + 4)
-      with
+      match find_from st.src (st.pos + 4) "-->" with
       | Some stop ->
           st.pos <- stop + 3;
           loop ()
       | None -> error st.pos "unterminated comment"
     end
     else if looking_at st "<?" then begin
-      match
-        let rec find i =
-          if i + 2 > String.length st.src then None
-          else if String.sub st.src i 2 = "?>" then Some i
-          else find (i + 1)
-        in
-        find (st.pos + 2)
-      with
+      match find_from st.src (st.pos + 2) "?>" with
       | Some stop ->
           st.pos <- stop + 2;
           loop ()
@@ -184,13 +186,11 @@ and parse_content st enclosing_tag =
     end
     else if looking_at st "<![CDATA[" then begin
       let start = st.pos + 9 in
-      let rec find i =
-        if i + 3 > String.length st.src then
-          error st.pos "unterminated CDATA section"
-        else if String.sub st.src i 3 = "]]>" then i
-        else find (i + 1)
+      let stop =
+        match find_from st.src start "]]>" with
+        | Some i -> i
+        | None -> error st.pos "unterminated CDATA section"
       in
-      let stop = find start in
       acc := Xml.text (String.sub st.src start (stop - start)) :: !acc;
       st.pos <- stop + 3;
       loop ()

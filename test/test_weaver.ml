@@ -809,6 +809,137 @@ let incremental_tests =
           (Weaver.Weave.weave_scan gs program));
   ]
 
+(* ---- advice dispatch ----------------------------------------------------- *)
+
+let dispatch_tests =
+  let key = Alcotest.(option string) in
+  let klass name =
+    let m name body =
+      {
+        Code.Jdecl.method_name = name;
+        method_mods = [ Code.Jdecl.M_public ];
+        return_type = Code.Jtype.T_void;
+        params = [];
+        throws = [];
+        body = Some body;
+      }
+    in
+    Code.Jdecl.Class
+      {
+        Code.Jdecl.class_name = name;
+        class_mods = [ Code.Jdecl.M_public ];
+        extends = None;
+        implements = [];
+        fields = [];
+        methods =
+          [
+            m "run" [ Code.Jstmt.S_expr (Code.Jexpr.E_call (None, "get", [])) ];
+            m "get" [ marker name ];
+          ];
+      }
+  in
+  (* N classes C0..C(N-1), one aspect with one execution advice per class:
+     the shape of a concern-generated aspect over N targets. *)
+  let per_class n =
+    let names = List.init n (Printf.sprintf "C%d") in
+    let program = [ Code.Junit.unit_ ~package:"p" (List.map klass names) ] in
+    let advices =
+      List.map
+        (fun c ->
+          Aspects.Advice.make ~name:("on" ^ c) Aspects.Advice.Before
+            (Aspects.Pointcut.execution c "*")
+            [ marker c ])
+        names
+    in
+    (program, [ generated 1 "PerClass" advices ])
+  in
+  let index_lookups f =
+    Obs.reset ();
+    Obs.Metric.enable ();
+    Fun.protect ~finally:Obs.reset (fun () ->
+        let r = f () in
+        let count m =
+          List.fold_left
+            (fun acc (row : Obs.Metric.row) ->
+              if row.Obs.Metric.metric = m then acc +. row.Obs.Metric.value
+              else acc)
+            0. (Obs.Metric.rows ())
+        in
+        (r, count "weave.index.probe" +. count "weave.index.scan"))
+  in
+  let agree msg (r1 : Weaver.Weave.result) (r2 : Weaver.Weave.result) =
+    check cb (msg ^ ": program") true
+      (Code.Junit.equal r1.Weaver.Weave.program r2.Weaver.Weave.program);
+    check cb (msg ^ ": applications") true
+      (r1.Weaver.Weave.applications = r2.Weaver.Weave.applications)
+  in
+  [
+    Alcotest.test_case "class_key keys only the enclosing class" `Quick
+      (fun () ->
+        let k = Weaver.Matcher.class_key in
+        let open Aspects.Pointcut in
+        check key "execution literal" (Some "A") (k (execution "A" "m*"));
+        check key "execution wildcard" None (k (execution "A*" "m"));
+        check key "within literal" (Some "A") (k (within "A"));
+        check key "within wildcard" None (k (within "*"));
+        check key "call names the receiver" None (k (call "A" "m"));
+        check key "set names the target" None (k (set_field "A" "f"));
+        check key "not" None (k (not_ (within "A")));
+        check key "and, right conjunct" (Some "A")
+          (k (call "B" "m" &&& within "A"));
+        check key "or, same class" (Some "A")
+          (k (execution "A" "m" ||| (within "A" &&& call "*" "n")));
+        check key "or, different classes" None
+          (k (execution "A" "m" ||| execution "B" "m")));
+    Alcotest.test_case "keyed and keyless advice keep declaration order"
+      `Quick (fun () ->
+        let before tag pc =
+          Aspects.Advice.make ~name:tag Aspects.Advice.Before pc [ marker tag ]
+        in
+        let open Aspects.Pointcut in
+        let gs =
+          [
+            generated 1 "Mixed"
+              [
+                before "K1" (execution "Service" "*");
+                before "W" (execution "*" "handle");
+                before "K2" (within "Service" &&& call "*" "run");
+                before "K3" (execution "Helper" "*");
+                before "W2" (set_field "*" "state");
+              ];
+          ]
+        in
+        let program = mk_program () in
+        agree "weave" (Weaver.Weave.weave gs program)
+          (Weaver.Weave.weave_scan gs program);
+        match body_of (Weaver.Weave.weave gs program).Weaver.Weave.program
+                "Service" "handle"
+        with
+        | Code.Jstmt.S_comment "W" :: Code.Jstmt.S_comment "K1" :: _ -> ()
+        | body ->
+            Alcotest.fail
+              (String.concat " ; " (List.map Code.Printer.stmt_to_string body)));
+    Alcotest.test_case "per-class advice costs index lookups linear in classes"
+      `Quick (fun () ->
+        let lookups n =
+          let program, gs = per_class n in
+          let r, count = index_lookups (fun () -> Weaver.Weave.weave gs program) in
+          agree (Printf.sprintf "N=%d" n) r (Weaver.Weave.weave_scan gs program);
+          check ci
+            (Printf.sprintf "N=%d: one application per method" n)
+            (2 * n)
+            (List.length r.Weaver.Weave.applications);
+          count
+        in
+        let small = lookups 100 and large = lookups 400 in
+        (* 4x the classes (and advice): 4x the lookups when each class sees
+           only its own advice; a scan of every advice per class is ~16x *)
+        check cb
+          (Printf.sprintf "lookups %.0f -> %.0f grow at most ~4x" small large)
+          true
+          (small > 0. && large <= 4.5 *. small));
+  ]
+
 let () =
   Alcotest.run "weaver"
     [
@@ -818,4 +949,5 @@ let () =
       ("precedence", precedence_tests);
       ("interference", interference_tests);
       ("incremental", incremental_tests);
+      ("dispatch", dispatch_tests);
     ]
