@@ -970,9 +970,9 @@ let read_repo path =
   | exception Sys_error msg -> Error msg
   | data -> Repository.Repo.load data
 
-let write_repo path repo =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Repository.Repo.save repo))
+(* Renders the snapshot before touching the file, and replaces it by a
+   rename, so a failure leaves the previous snapshot intact. *)
+let write_repo path repo = Xmi.Export.replace_file path (Repository.Repo.save repo)
 
 let store_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE.mdr")
@@ -1122,8 +1122,7 @@ let repo_save_cmd =
     let rendered = Repository.Repo.save repo in
     if not (String.equal rendered data) then
       or_die (Error "snapshot is not canonical: save after load differs");
-    Out_channel.with_open_bin out (fun oc ->
-        Out_channel.output_string oc rendered);
+    Xmi.Export.replace_file out rendered;
     Printf.printf "verified byte fixpoint, wrote %s (%d bytes)\n" out
       (String.length rendered)
   in

@@ -1232,6 +1232,110 @@ let armor rng tree =
   render tree;
   Buffer.contents buf
 
+(* ---- structure mutations of an XMI rendering ------------------------------ *)
+
+(* [f] replaces the [n]th element of [tree] in pre-order (its subtree is
+   not visited) with a list of nodes; the root may only be replaced by
+   exactly one node. *)
+let map_nth_elem tree n f =
+  let count = ref 0 in
+  let rec go node =
+    match (node : Xmi.Xml.t) with
+    | Xmi.Xml.Text _ -> [ node ]
+    | Xmi.Xml.Elem e ->
+        let i = !count in
+        incr count;
+        if i = n then f node
+        else [ Xmi.Xml.Elem { e with children = List.concat_map go e.children } ]
+  in
+  match go tree with [ t ] -> t | _ -> tree
+
+let rec elems_preorder (node : Xmi.Xml.t) =
+  match node with
+  | Xmi.Xml.Text _ -> []
+  | Xmi.Xml.Elem e -> node :: List.concat_map elems_preorder e.children
+
+let body_markups =
+  [ "<!-- a comment -->"; "<!---->"; "<![CDATA[ <&> ]]>"; "<![CDATA[]]>"; "<?pi x?>" ]
+
+(* Tags a renamed element may take: every XMI role, and one unknown. *)
+let tag_pool =
+  [
+    "Widget"; "XMI"; "XMI.content"; "Model"; "Package"; "Class"; "Interface";
+    "Attribute"; "Operation"; "Parameter"; "Association"; "AssociationEnd";
+    "Enumeration"; "Literal"; "Constraint"; "Constraint.body"; "Stereotype";
+    "TaggedValue"; "Generalization"; "Dependency";
+  ]
+
+(* An offset inside [s.[start, stop)] that does not split an entity
+   reference. *)
+let text_offset rng s start stop =
+  let p = Prng.range rng start stop in
+  match String.rindex_from_opt s (p - 1) '&' with
+  | Some amp when amp >= start && not (String.contains (String.sub s amp (p - amp)) ';') ->
+      amp
+  | _ -> p
+
+let find_all s marker =
+  let n = String.length marker in
+  let at i =
+    let rec from j = j = n || (s.[i + j] = marker.[j] && from (j + 1)) in
+    from 0
+  in
+  let rec from i acc =
+    if i + n > String.length s then List.rev acc
+    else if at i then from (i + n) (i :: acc)
+    else from (i + 1) acc
+  in
+  from 0 []
+
+let xmi_mutants rng tree =
+  let print = Xmi_ref.print in
+  let elems = elems_preorder tree in
+  let n = List.length elems in
+  let plain = print tree in
+  let drop_attr =
+    let i = Prng.int rng n in
+    map_nth_elem tree i (function
+      | Xmi.Xml.Elem ({ attrs = _ :: _ as attrs; _ } as e) ->
+          let k = Prng.int rng (List.length attrs) in
+          [ Xmi.Xml.Elem { e with attrs = List.filteri (fun j _ -> j <> k) attrs } ]
+      | node -> [ node ])
+  in
+  let rename_tag =
+    let tag = Prng.choose rng tag_pool in
+    map_nth_elem tree (Prng.int rng n) (function
+      | Xmi.Xml.Elem e -> [ Xmi.Xml.Elem { e with tag } ]
+      | node -> [ node ])
+  in
+  let truncated = String.sub plain 0 (Prng.int rng (String.length plain)) in
+  let duplicated_root =
+    if Prng.bool rng then plain ^ print ~declaration:false tree
+    else
+      (* the model's root element: the first element after <Model> *)
+      match List.find_index (fun e -> Xmi.Xml.tag e = Some "Model") elems with
+      | Some i when i + 1 < n -> print (map_nth_elem tree (i + 1) (fun node -> [ node; node ]))
+      | _ -> plain
+  in
+  let body_markup =
+    let open_tag = "<Constraint.body>" and close_tag = "</Constraint.body>" in
+    match find_all plain open_tag with
+    | [] -> plain
+    | starts ->
+        let start = Prng.choose rng starts + String.length open_tag in
+        let stop = List.find (fun i -> i >= start) (find_all plain close_tag) in
+        let at = text_offset rng plain start stop in
+        let markup = Prng.choose rng body_markups in
+        String.sub plain 0 at ^ markup ^ String.sub plain at (String.length plain - at)
+  in
+  [
+    ("drop-attribute", print drop_attr);
+    ("rename-tag", print rename_tag);
+    ("truncate", truncated);
+    ("duplicate-root", duplicated_root);
+    ("body-markup", body_markup);
+  ]
+
 (* ---- OCL constraint generation for the differential oracle ---------------- *)
 
 (* Names mentioned anywhere in the scripts: the interesting probe targets

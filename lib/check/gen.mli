@@ -71,6 +71,14 @@ val armor : Prng.t -> Xmi.Xml.t -> string
     rendering — the metamorphic relation that catches character-reference
     decoding bugs. *)
 
+val xmi_mutants : Prng.t -> Xmi.Xml.t -> (string * string) list
+(** Labelled renderings of an XMI tree, each with one structural defect or
+    twist: an attribute dropped, a tag renamed (open and close) to another
+    XMI role or an unknown one, the text truncated, the document root or
+    the model's root element duplicated, and a comment, CDATA section or
+    processing instruction inserted into a [Constraint.body]. Drives the
+    streaming-vs-reference import relation of the [xmi] oracle. *)
+
 val ocl_constraints :
   Prng.t -> base:Edit.script -> edits:Edit.script -> Ocl.Constraint_.t list
 (** Random OCL constraints for the [ocl] differential oracle: planner

@@ -61,37 +61,75 @@ let check_wf ~aux:_ ~base ~edits =
              "[wf] scoped check disagrees with full check@.scoped:%a@.full:%a"
              pp_violations scoped pp_violations full)
 
-(* ---- R3: XMI round trip and char-ref armoring ---------------------------- *)
+(* ---- R3: XMI round trip, armoring, and the streaming paths vs reference -- *)
+
+type import_outcome = Imported of Mof.Model.t | Xml_defect | Xmi_defect of string
+
+let import_outcome import s =
+  match import s with
+  | m -> Imported m
+  | exception Xmi.Xml_parser.Xml_error _ -> Xml_defect
+  | exception Xmi.Import.Import_error msg -> Xmi_defect msg
+
+(* Streaming import ≡ the DOM reference: equal models, or a typed error on
+   both sides. A well-formed document the reference rejects must be
+   rejected as XMI; a malformed one may be rejected either way, since the
+   streaming reader raises whichever defect it meets first. *)
+let import_agrees label s =
+  match
+    (import_outcome Xmi.Import.from_string s, import_outcome Xmi_ref.of_string s)
+  with
+  | Imported a, Imported b ->
+      if Mof.Model.equal a b && Mof.Model.next a = Mof.Model.next b then Ok ()
+      else Error (Printf.sprintf "[xmi] %s: streaming import differs from the reference" label)
+  | (Xml_defect | Xmi_defect _), Xml_defect | Xmi_defect _, Xmi_defect _ -> Ok ()
+  | Xml_defect, Xmi_defect msg ->
+      Error
+        (Printf.sprintf
+           "[xmi] %s: streaming import reports an XML error on a well-formed document (reference: %s)"
+           label msg)
+  | Imported _, (Xml_defect | Xmi_defect _) ->
+      Error (Printf.sprintf "[xmi] %s: streaming import accepts a document the reference rejects" label)
+  | (Xml_defect | Xmi_defect _), Imported _ ->
+      Error (Printf.sprintf "[xmi] %s: streaming import rejects a document the reference accepts" label)
 
 let check_xmi ~aux ~base ~edits =
   let _, m' = build ~base ~edits in
   let s1 = Xmi.Export.to_string m' in
-  match Xmi.Import.from_string s1 with
-  | exception Xmi.Xml_parser.Xml_error (msg, pos) ->
-      Error (Printf.sprintf "[xmi] reimport: parse error at %d: %s" pos msg)
-  | exception Xmi.Import.Import_error msg ->
-      Error (Printf.sprintf "[xmi] reimport failed: %s" msg)
-  | m2 -> (
-      let s2 = Xmi.Export.to_string m2 in
-      if not (String.equal s1 s2) then
-        Error "[xmi] second export is not byte-identical to the first"
-      else if not (Mof.Model.equal m' m2) then
-        Error "[xmi] reimported model differs structurally"
-      else
-        let tree = Xmi.Export.to_xml m' in
-        let armored = Gen.armor (Prng.make aux) tree in
-        match Xmi.Xml_parser.parse armored with
-        | exception Xmi.Xml_parser.Xml_error (msg, pos) ->
-            Error
-              (Printf.sprintf "[xmi] armored rendering: parse error at %d: %s"
-                 pos msg)
-        | t_armored ->
-            let t_plain = Xmi.Xml_parser.parse s1 in
-            if Xmi.Xml.equal t_armored t_plain then Ok ()
-            else
+  let tree = Xmi_ref.to_xml m' in
+  if not (String.equal s1 (Xmi_ref.print tree)) then
+    Error "[xmi] direct export differs from the reference printer"
+  else
+    match Xmi.Import.from_string s1 with
+    | exception Xmi.Xml_parser.Xml_error (msg, pos) ->
+        Error (Printf.sprintf "[xmi] reimport: parse error at %d: %s" pos msg)
+    | exception Xmi.Import.Import_error msg ->
+        Error (Printf.sprintf "[xmi] reimport failed: %s" msg)
+    | m2 -> (
+        let s2 = Xmi.Export.to_string m2 in
+        if not (String.equal s1 s2) then
+          Error "[xmi] second export is not byte-identical to the first"
+        else if not (Mof.Model.equal m' m2) then
+          Error "[xmi] reimported model differs structurally"
+        else
+          let rng = Prng.make aux in
+          let armored = Gen.armor rng tree in
+          match Xmi.Xml_parser.parse armored with
+          | exception Xmi.Xml_parser.Xml_error (msg, pos) ->
               Error
-                "[xmi] parsing the char-ref-armored rendering differs from \
-                 parsing the plain one")
+                (Printf.sprintf "[xmi] armored rendering: parse error at %d: %s"
+                   pos msg)
+          | t_armored ->
+              if not (Xmi.Xml.equal t_armored (Xmi.Xml_parser.parse s1)) then
+                Error
+                  "[xmi] parsing the char-ref-armored rendering differs from \
+                   parsing the plain one"
+              else
+                List.fold_left
+                  (fun verdict (label, s) ->
+                    Result.bind verdict (fun () -> import_agrees label s))
+                  (Ok ())
+                  (("plain", s1) :: ("armored", armored) :: Gen.xmi_mutants rng tree))
 
 (* ---- R4: indexes, extents, and qualified-name lookup vs fresh scans ------ *)
 

@@ -8,9 +8,15 @@
     - [diff]: journal-replay {!Mof.Diff.compute} ≡ {!Mof.Diff.compute_scan};
     - [wf]: scoped {!Mof.Wellformed.check_touched} ≡ full check on models
       edited from a clean base;
-    - [xmi]: export → import → export is a fixpoint (byte-identical second
-      export), reimport is {!Mof.Model.equal}, and parsing a
-      character-reference-armored rendering equals parsing the plain one;
+    - [xmi]: the direct {!Xmi.Export.to_string} is byte-equal to the
+      {!Xmi_ref} tree printer; export → import → export is a fixpoint
+      (byte-identical second export) and reimport is {!Mof.Model.equal};
+      parsing a character-reference-armored rendering equals parsing the
+      plain one; and the streaming {!Xmi.Import.from_string} agrees with
+      {!Xmi_ref.of_string} on the plain, the armored and five structure
+      mutants ({!Gen.xmi_mutants}) — equal models, or a typed error on
+      both sides ([Import_error] on both when the document is well-formed
+      XML, either error when it is not);
     - [query]: every secondary index, {!Ocl.Meta.all_instances} extent, and
       {!Mof.Query.find_by_qualified_name} lookup ≡ a fresh full scan;
     - [ocl]: {!Ocl.Constraint_.check} — memoized parse, planner probes,

@@ -4,13 +4,23 @@ let of_int n = n
 let to_int id = id
 let to_string id = "e" ^ string_of_int id
 
-let of_string s =
-  let len = String.length s in
-  if len < 2 || s.[0] <> 'e' then None
+(* Canonical spellings only: ['e'] then decimal digits, no leading zero
+   (but ["e0"]), no sign, underscore or radix prefix, and no overflow — so
+   [of_substring] accepts exactly the strings {!to_string} produces. *)
+let rec digits s i stop n =
+  if i = stop then Some n
   else
-    match int_of_string_opt (String.sub s 1 (len - 1)) with
-    | Some n when n >= 0 -> Some n
-    | Some _ | None -> None
+    let c = s.[i] in
+    if c < '0' || c > '9' then None
+    else
+      let d = Char.code c - 48 in
+      if n > (max_int - d) / 10 then None else digits s (i + 1) stop ((n * 10) + d)
+
+let of_substring s ~pos ~len =
+  if len < 2 || s.[pos] <> 'e' || (s.[pos + 1] = '0' && len > 2) then None
+  else digits s (pos + 1) (pos + len) 0
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 let equal = Int.equal
 let compare = Int.compare

@@ -20,7 +20,14 @@ val to_string : t -> string
 (** [to_string id] renders [id] as ["e<n>"], the form used in XMI files. *)
 
 val of_string : string -> t option
-(** [of_string s] parses the ["e<n>"] form produced by {!to_string}. *)
+(** [of_string s] parses the ["e<n>"] form produced by {!to_string}, and
+    only that form: [of_string s = Some id] iff [to_string id = s]. Leading
+    zeros, signs, underscores, radix prefixes and out-of-range ordinals are
+    rejected, so two spellings never name one id. *)
+
+val of_substring : string -> pos:int -> len:int -> t option
+(** [of_substring s ~pos ~len] is [of_string (String.sub s pos len)]
+    without the copy. *)
 
 val equal : t -> t -> bool
 (** Structural equality on identifiers. *)

@@ -29,6 +29,20 @@ let id_tests =
         List.iter
           (fun s -> check cb s false (Mof.Id.of_string s <> None))
           [ ""; "e"; "x1"; "e-1"; "e1x"; "42" ]);
+    Alcotest.test_case "of_string accepts canonical spellings only" `Quick
+      (fun () ->
+        (* each of these names an ordinal under [int_of_string], so two
+           spellings could alias one id *)
+        List.iter
+          (fun s -> check cb s true (Mof.Id.of_string s = None))
+          [
+            "e1_0"; "e0x10"; "e0o7"; "e0b1"; "e+5"; "e-0"; "e01"; "e00";
+            "e 1"; "e99999999999999999999";
+          ];
+        check cb "e0" true (Mof.Id.of_string "e0" = Some (Mof.Id.of_int 0));
+        check cb "max_int" true
+          (Mof.Id.of_string ("e" ^ string_of_int max_int)
+          = Some (Mof.Id.of_int max_int)));
     Alcotest.test_case "compare orders by ordinal" `Quick (fun () ->
         check cb "lt" true (Mof.Id.compare (Mof.Id.of_int 1) (Mof.Id.of_int 2) < 0);
         check ci "eq" 0 (Mof.Id.compare (Mof.Id.of_int 5) (Mof.Id.of_int 5)));
@@ -1019,9 +1033,24 @@ let apply_wf_op m (sel, a, b) =
 
 (* ---- properties ------------------------------------------------------- *)
 
+let id_spelling_gen =
+  QCheck2.Gen.(
+    map (fun s -> "e" ^ s)
+      (string_size ~gen:(oneofl [ '0'; '1'; '9'; '_'; 'x'; '+'; '-' ]) (int_range 0 4)))
+
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      QCheck2.Test.make ~name:"Id.of_string inverts to_string" ~count:500
+        QCheck2.Gen.(oneof [ int_bound 10_000; map (fun n -> n land max_int) int ])
+        (fun n ->
+          let id = Mof.Id.of_int n in
+          Mof.Id.of_string (Mof.Id.to_string id) = Some id);
+      QCheck2.Test.make ~name:"Id.of_string accepts only to_string's spellings"
+        ~count:500 id_spelling_gen (fun s ->
+          match Mof.Id.of_string s with
+          | Some id -> String.equal (Mof.Id.to_string id) s
+          | None -> true);
       QCheck2.Test.make ~name:"generated models are well-formed" ~count:50
         Gen.model_gen (fun m -> Mof.Wellformed.is_wellformed m);
       QCheck2.Test.make ~name:"self-diff is empty" ~count:50 Gen.model_gen
