@@ -830,15 +830,7 @@ let run_e16 () =
       let st = Weaver.Weave.initial aspects program in
       let full_ns = time (fun () -> Weaver.Weave.weave aspects edited) in
       row "weave/full-indexed:8-aspects-100-classes" full_ns;
-      let qs0 = Gc.quick_stat () in
       let scan_ns = time (fun () -> Weaver.Weave.weave_scan aspects edited) in
-      let qs1 = Gc.quick_stat () in
-      Printf.printf
-        "  [dbg] metrics=%b majors=%d minors=%d heap_words=%d\n%!"
-        (Obs.Metric.enabled ())
-        (qs1.Gc.major_collections - qs0.Gc.major_collections)
-        (qs1.Gc.minor_collections - qs0.Gc.minor_collections)
-        qs1.Gc.heap_words;
       row "weave/full-scan:no-index-ablation" scan_ns;
       let init_ns = time (fun () -> Weaver.Weave.initial aspects edited) in
       row "weave/initial:cold-incremental-ablation" init_ns;

@@ -289,8 +289,15 @@ let of_xml doc =
   in
   let elements = walk_element ~owner:None root_node [] in
   match Mof.Model.of_elements ~root ~next elements with
-  | m -> m
   | exception Invalid_argument msg -> error "%s" msg
+  | m -> (
+      let r = Mof.Model.find_exn m root in
+      match (r.Mof.Element.kind, r.Mof.Element.owner) with
+      | Mof.Kind.Package _, None -> m
+      | _, Some _ -> error "root %s is not a top-level element" (Mof.Id.to_string root)
+      | _, None ->
+          error "root %s is a %s, not a Package" (Mof.Id.to_string root)
+            (Mof.Element.metaclass r))
 
 (* ---- export to the tree ------------------------------------------------------ *)
 

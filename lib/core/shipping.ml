@@ -45,12 +45,6 @@ let manifest_of project =
   let* ls = lines [] (Project.applied project) in
   Ok (String.concat "\n" ls ^ if ls = [] then "" else "\n")
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -79,7 +73,7 @@ let ship ~dir project =
         | None -> assert false (* commits from [log] are stored *))
     commits;
   Xmi.Export.write_file (Filename.concat dir "final.xmi") (Project.model project);
-  write_file (Filename.concat dir "MANIFEST") manifest;
+  Xmi.Export.replace_file (Filename.concat dir "MANIFEST") manifest;
   Ok ()
 
 let load_manifest text =

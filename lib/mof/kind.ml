@@ -197,4 +197,13 @@ let refs = function
   | Constraint_ { constrained; _ } -> constrained
   | Enumeration _ -> []
 
+let ref_lists = function
+  | Package { owned } -> [ owned ]
+  | Class { attributes; operations; supers; realizes; _ } ->
+      [ attributes; operations; supers; realizes ]
+  | Interface { operations } -> [ operations ]
+  | Operation { params; _ } -> [ params ]
+  | Constraint_ { constrained; _ } -> [ constrained ]
+  | k -> [ refs k ]
+
 let equal (a : t) (b : t) = a = b

@@ -152,5 +152,11 @@ val refs : t -> Id.t list
 (** Every id mentioned by the kind payload (children and cross-references);
     used by well-formedness checking and diffing. *)
 
+val ref_lists : t -> Id.t list list
+(** {!refs} as the payload's own id lists, in the same order:
+    [List.concat (ref_lists k) = refs k]. The lists of a container kind are
+    returned as stored, not copied, so two versions of a payload can be
+    compared list by list (cf. {!Model.update}). *)
+
 val equal : t -> t -> bool
 (** Structural equality of kind payloads. *)

@@ -119,6 +119,93 @@ let unindex_element e idx =
         (Kind.refs e.Element.kind);
   }
 
+(* ---- delta reindexing ---------------------------------------------------- *)
+
+let rec drop n l =
+  if n <= 0 then l else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
+
+(* [f] folded over the first [n] elements of [l] *)
+let rec fold_first f n l acc =
+  match l with x :: rest when n > 0 -> fold_first f (n - 1) rest (f acc x) | _ -> acc
+
+(* length of the longest common suffix of two lists of equal length *)
+let rec suffix_run a b run =
+  match (a, b) with
+  | x :: a, y :: b -> suffix_run a b (if Id.equal x y then run + 1 else 0)
+  | _ -> run
+
+(* The referrer keys of [id] when its kind goes from [k] to [k']. The two
+   kinds' ref lists are compared pairwise; in each pair only the middle
+   left after stripping the common prefix and suffix is visited, so the
+   unchanged ids cost a comparison each and no allocation. An old target
+   leaves the index only when no list of [k'] still mentions it (refs may
+   repeat an id); re-adding a target that is already keyed is a no-op.
+   Builder edits append to or drop one id from one list, so a middle holds
+   at most one id. *)
+let refs_delta id k k' ix =
+  if k == k' then ix
+  else
+    let news = Kind.ref_lists k' in
+    let kept t = List.exists (List.exists (Id.equal t)) news in
+    let rec strip o n lo ln =
+      match (o, n) with
+      | x :: o', y :: n' when Id.equal x y -> strip o' n' (lo - 1) (ln - 1)
+      | _ -> (o, n, lo, ln)
+    in
+    let pair ix o n =
+      if o == n then ix
+      else
+        let o, n, lo, ln = strip o n (List.length o) (List.length n) in
+        let common = min lo ln in
+        let s = suffix_run (drop (lo - common) o) (drop (ln - common) n) 0 in
+        let ix =
+          fold_first
+            (fun ix t -> if kept t then ix else ibucket_drop t id ix)
+            (lo - s) o ix
+        in
+        fold_first (fun ix t -> ibucket_add t id ix) (ln - s) n ix
+    in
+    let rec pairs ix olds news =
+      match (olds, news) with
+      | [], [] -> ix
+      | o :: olds, [] -> pairs (pair ix o []) olds []
+      | [], n :: news -> pairs (pair ix [] n) [] news
+      | o :: olds, n :: news -> pairs (pair ix o n) olds news
+    in
+    pairs ix (Kind.ref_lists k) news
+
+(* [unindex_element e] then [index_element e'], restricted to the keys that
+   differ between the two versions of one element *)
+let reindex_element e e' idx =
+  let id = e.Element.id in
+  {
+    ix_kind =
+      (let k = Kind.name e.Element.kind and k' = Kind.name e'.Element.kind in
+       if String.equal k k' then idx.ix_kind
+       else sbucket_add k' id (sbucket_drop k id idx.ix_kind));
+    ix_name =
+      (if String.equal e.Element.name e'.Element.name then idx.ix_name
+       else sbucket_add e'.Element.name id (sbucket_drop e.Element.name id idx.ix_name));
+    ix_stereotype =
+      (let ss = e.Element.stereotypes and ss' = e'.Element.stereotypes in
+       if ss == ss' then idx.ix_stereotype
+       else
+         let has l s = List.exists (String.equal s) l in
+         let ix =
+           List.fold_left
+             (fun acc s -> if has ss' s then acc else sbucket_drop s id acc)
+             idx.ix_stereotype ss
+         in
+         List.fold_left (fun acc s -> if has ss s then acc else sbucket_add s id acc) ix ss');
+    ix_owner =
+      (let o = e.Element.owner and o' = e'.Element.owner in
+       if Option.equal Id.equal o o' then idx.ix_owner
+       else
+         let ix = match o with Some o -> ibucket_drop o id idx.ix_owner | None -> idx.ix_owner in
+         match o' with Some o' -> ibucket_add o' id ix | None -> ix);
+    ix_referrers = refs_delta id e.Element.kind e'.Element.kind idx.ix_referrers;
+  }
+
 (* One journal entry per mutation, even when the new element is equal to the
    old one: consumers classify journal candidates against both models, so a
    spurious entry costs one comparison, never a wrong diff. *)
@@ -195,13 +282,9 @@ let add m e =
 let update m id f =
   let e = find_exn m id in
   let e' = f e in
-  touch
-    {
-      m with
-      store = Id.Map.add id e' m.store;
-      idx = index_element e' (unindex_element e m.idx);
-    }
-    id
+  if not (Id.equal e'.Element.id id) then
+    invalid_arg ("Mof.Model.update: the update changed the id of " ^ Id.to_string id);
+  touch { m with store = Id.Map.add id e' m.store; idx = reindex_element e e' m.idx } id
 
 let set_level_tag level m = update m m.root (Element.set_tag "level" level)
 

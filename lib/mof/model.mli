@@ -20,8 +20,11 @@
       remain discoverable (how {!Wellformed.check_touched} finds dangling
       references after a deletion).
 
-    Index maintenance is O(k log n) per mutation for an element with k index
-    keys; every lookup is O(log n) and returns a set whose elements come
+    Index maintenance is O(k log n) for {!add} and {!remove} of an element
+    with k index keys, and O(c log n) for an {!update} that changes c of
+    them, plus one comparison per id in the element's ref lists when its
+    kind payload was replaced (see {!update}); every lookup is O(log n) and
+    returns a set whose elements come
     back in ascending id order, matching the historical scan order of
     {!fold}/{!elements}. The invariant — each index equals the map a full
     scan of the store would rebuild — is asserted by the randomized
@@ -94,8 +97,17 @@ val find_exn : t -> Id.t -> Element.t
 
 val update : t -> Id.t -> (Element.t -> Element.t) -> t
 (** [update m id f] replaces the element bound to [id] by [f] applied to
-    it, reindexes the changed keys, and journals [id].
-    @raise Element_not_found if [id] is unbound. *)
+    it, reindexes only the keys that differ between the two versions, and
+    journals [id]. Kind name, name and owner are rekeyed only when they
+    changed, stereotypes by set difference, and referrer keys only when the
+    kind payload is a new value: the old and new {!Kind.ref_lists} are then
+    compared list by list, their common prefix and suffix skipped, and only
+    the ids in between rekeyed. Cost: O(c log n) for c changed keys, plus
+    O(r) comparisons for the r ids of a replaced payload's ref lists; a
+    builder edit (one id appended to or dropped from a containment list)
+    changes at most one referrer key however long the list.
+    @raise Element_not_found if [id] is unbound.
+    @raise Invalid_argument if [f] changes the element's id. *)
 
 val remove : t -> Id.t -> t
 (** Removes the binding for [id] (and only that binding; callers are

@@ -358,8 +358,16 @@ let of_lexer lx =
     if i = sink.count then acc else elements (i + 1) (sink.slots.(i) :: acc)
   in
   match Mof.Model.of_elements ~root:m.root ~next:m.next (elements 0 []) with
-  | m -> m
   | exception Invalid_argument msg -> error "%s" msg
+  | model -> (
+      (* every builder edit assumes a top-level package at the root *)
+      let r = Mof.Model.find_exn model m.root in
+      match (r.Mof.Element.kind, r.Mof.Element.owner) with
+      | Mof.Kind.Package _, None -> model
+      | _, Some _ -> error "root %s is not a top-level element" (Mof.Id.to_string m.root)
+      | _, None ->
+          error "root %s is a %s, not a Package" (Mof.Id.to_string m.root)
+            (Mof.Element.metaclass r))
 
 let from_string s =
   Obs.span ~cat:"xmi" "xmi.import"

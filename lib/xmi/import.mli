@@ -15,7 +15,8 @@ val from_string : string -> Mof.Model.t
 (** Reads an XMI document.
     @raise Xml_parser.Xml_error on malformed XML
     @raise Import_error when the document is not valid XMI produced by
-    {!Export} (missing attributes, unknown tags, malformed ids, …). When a
+    {!Export} (missing attributes, unknown tags, malformed ids, a root that
+    is not a top-level [Package], …). When a
     document has both kinds of defect, either may be reported. *)
 
 val read_file : string -> Mof.Model.t

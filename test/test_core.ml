@@ -387,6 +387,35 @@ let shipping_tests =
                 "final.xmi";
                 "MANIFEST";
               ]));
+    Alcotest.test_case "artifact writes leave no temporary file" `Quick
+      (fun () ->
+        with_temp_dir (fun dir ->
+            let project = fig2_project () in
+            let artifacts = Result.get_ok (Core.Pipeline.build project) in
+            (* twice, so the second round replaces existing files *)
+            for _ = 1 to 2 do
+              Core.Artifacts.write_to_dir dir artifacts;
+              Result.get_ok (Core.Shipping.ship ~dir project)
+            done;
+            check (Alcotest.list cs) "exactly the artifacts"
+              [
+                "BUILD-REPORT.txt";
+                "MANIFEST";
+                "aspects.aj";
+                "final.xmi";
+                "functional.java";
+                "initial.xmi";
+                "step-1.xmi";
+                "step-2.xmi";
+                "step-3.xmi";
+                "woven.java";
+              ]
+              (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+            check cb "woven.java complete" true
+              (String.equal
+                 (In_channel.with_open_bin (Filename.concat dir "woven.java")
+                    In_channel.input_all)
+                 (Core.Artifacts.render_woven artifacts))));
     Alcotest.test_case "replay reproduces the shipped final model" `Quick
       (fun () ->
         with_temp_dir (fun dir ->

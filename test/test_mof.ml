@@ -666,6 +666,32 @@ let store_tests =
         let m = Mof.Builder.delete_element m cls in
         check cb "gone" true
           (not (Mof.Id.Set.mem cls (Mof.Model.owned_by m (Mof.Model.root m)))));
+    Alcotest.test_case "referrers follow a metaclass change" `Quick (fun () ->
+        let m = Fixtures.banking () in
+        let acct = Fixtures.class_id m "Account" in
+        let before = Mof.Model.find_exn m acct in
+        let targets = Mof.Kind.refs before.Mof.Element.kind in
+        let refers m t = Mof.Id.Set.mem acct (Mof.Model.referrers m t) in
+        check cb "has refs in several lists" true (List.length targets > 2);
+        let m =
+          Mof.Model.update m acct
+            (Mof.Element.with_kind (Mof.Kind.Enumeration { literals = [ "A" ] }))
+        in
+        check cb "every referrer key dropped" false (List.exists (refers m) targets);
+        check cb "kind rekeyed" true
+          (Mof.Id.Set.mem acct (Mof.Model.by_kind m "Enumeration")
+          && not (Mof.Id.Set.mem acct (Mof.Model.by_kind m "Class")));
+        let m = Mof.Model.update m acct (fun _ -> before) in
+        check cb "every referrer key back" true (List.for_all (refers m) targets));
+    Alcotest.test_case "update must keep the id" `Quick (fun () ->
+        let m, cls = with_class () in
+        check cb "refused" true
+          (match
+             Mof.Model.update m cls (fun e ->
+                 { e with Mof.Element.id = Mof.Id.of_int 77 })
+           with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
     Alcotest.test_case "referrers tracks unbound targets" `Quick (fun () ->
         let m, cls = with_class () in
         let ghost = Mof.Id.of_int 999 in
@@ -797,7 +823,7 @@ let apply_store_op (m, forged) (sel, a, b) =
   let ids = List.map (fun (e : Mof.Element.t) -> e.Mof.Element.id) (Mof.Model.elements m) in
   let pick k = List.nth ids (k mod List.length ids) in
   let name k = op_names.(k mod Array.length op_names) in
-  match sel mod 9 with
+  match sel mod 15 with
   | 0 ->
       (fst (Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:(name a)), forged)
   | 1 -> (
@@ -830,9 +856,81 @@ let apply_store_op (m, forged) (sel, a, b) =
       | [] -> (m, forged)
       | nr ->
           let m = Mof.Builder.delete_element m (List.nth nr (a mod List.length nr)) in
-          (m, List.filter (Mof.Model.mem m) forged))
+          let forged = List.filter (Mof.Model.mem m) forged in
+          (* a forged leaf moved under a deleted element goes back to the
+             root, through a raw owner update *)
+          let rehome m f =
+            match (Mof.Model.find_exn m f).Mof.Element.owner with
+            | Some o when not (Mof.Model.mem m o) ->
+                Mof.Model.update m f (fun e ->
+                    { e with Mof.Element.owner = Some (Mof.Model.root m) })
+            | _ -> m
+          in
+          (List.fold_left rehome m forged, forged))
   | 7 ->
       (Mof.Model.update m (pick a) (Mof.Element.set_tag "k" (string_of_int (b mod 5))), forged)
+  | 9 ->
+      ( Mof.Model.update m (pick a)
+          (Mof.Element.remove_stereotype op_stereos.(b mod Array.length op_stereos)),
+        forged )
+  | 10 -> (
+      (* raw owner change: a forged leaf moves under any element that is
+         not forged, so owner chains stay acyclic and bound *)
+      match forged with
+      | [] -> (m, forged)
+      | _ ->
+          let f = List.nth forged (a mod List.length forged) in
+          let hosts = List.filter (fun i -> not (List.mem i forged)) ids in
+          let host = List.nth hosts (b mod List.length hosts) in
+          (Mof.Model.update m f (fun e -> { e with Mof.Element.owner = Some host }), forged))
+  | 11 -> (
+      (* supers with a repeated id, then partial and full removal of it *)
+      match Mof.Query.classes m with
+      | _ :: _ :: _ as cs ->
+          let c = (List.nth cs (a mod List.length cs)).Mof.Element.id in
+          let others =
+            List.filter_map
+              (fun (e : Mof.Element.t) ->
+                if Mof.Id.equal e.Mof.Element.id c then None else Some e.Mof.Element.id)
+              cs
+          in
+          let x = List.nth others (b mod List.length others) in
+          let edit (p : Mof.Kind.class_payload) =
+            match (b mod 3, p.Mof.Kind.supers) with
+            | 0, supers -> { p with Mof.Kind.supers = supers @ [ x; x ] }
+            | 1, _ :: rest -> { p with Mof.Kind.supers = rest }
+            | _, supers ->
+                let y = match supers with y :: _ -> y | [] -> x in
+                { p with Mof.Kind.supers = List.filter (fun s -> not (Mof.Id.equal s y)) supers }
+          in
+          ( Mof.Model.update m c (fun e ->
+                match e.Mof.Element.kind with
+                | Mof.Kind.Class p -> Mof.Element.with_kind (Mof.Kind.Class (edit p)) e
+                | _ -> e),
+            forged )
+      | _ -> (m, forged))
+  | 12 -> (
+      (* a forged leaf swaps metaclass: Attribute <-> a Dependency whose
+         client and supplier are the same, possibly unbound, id *)
+      match forged with
+      | [] -> (m, forged)
+      | _ ->
+          let f = List.nth forged (a mod List.length forged) in
+          let x = Mof.Id.of_int (b mod 60) in
+          ( Mof.Model.update m f (fun e ->
+                match e.Mof.Element.kind with
+                | Mof.Kind.Dependency _ ->
+                    forged_attr ~id:f ~name:e.Mof.Element.name ~owner:e.Mof.Element.owner
+                      ~target:x
+                | _ ->
+                    Mof.Element.with_kind
+                      (Mof.Kind.Dependency { client = x; supplier = x })
+                      e),
+            forged ))
+  | 13 ->
+      ( Mof.Model.update m (pick a) (fun e -> Mof.Element.with_name e.Mof.Element.name e),
+        forged )
+  | 14 -> (Mof.Model.update m (pick a) Fun.id, forged)
   | _ -> (
       match Mof.Query.classes m with
       | _ :: _ :: _ as cs ->
@@ -1060,6 +1158,13 @@ let property_tests =
           let m2, id = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Zz" in
           let d = Mof.Diff.compute ~old_model:m ~new_model:m2 in
           Mof.Id.Set.mem id d.Mof.Diff.added);
+      QCheck2.Test.make ~name:"Kind.ref_lists concatenate to Kind.refs" ~count:50
+        Gen.model_gen (fun m ->
+          List.for_all
+            (fun (e : Mof.Element.t) ->
+              List.concat (Mof.Kind.ref_lists e.Mof.Element.kind)
+              = Mof.Kind.refs e.Mof.Element.kind)
+            (Mof.Model.elements m));
       QCheck2.Test.make ~name:"qualified_name is rooted" ~count:30 Gen.model_gen
         (fun m ->
           List.for_all

@@ -329,11 +329,12 @@ let both s =
   | _ -> Alcotest.fail "streaming and reference verdicts differ");
   streamed
 
-let doc ?(header = "") ?(after_model = "") ?(after_content = "") ?(next = "3") root =
+let doc ?(header = "") ?(after_model = "") ?(after_content = "") ?(next = "3")
+    ?(root_ref = "e0") root =
   Printf.sprintf
     "<XMI xmi.version=\"1.2\"><XMI.header>%s</XMI.header><XMI.content><Model \
-     name=\"x\" root=\"e0\" next=\"%s\">%s</Model>%s</XMI.content>%s</XMI>"
-    header next root after_model after_content
+     name=\"x\" root=\"%s\" next=\"%s\">%s</Model>%s</XMI.content>%s</XMI>"
+    header root_ref next root after_model after_content
 
 let package ?(id = "e0") children =
   Printf.sprintf "<Package xmi.id=\"%s\" name=\"x\">%s</Package>" id children
@@ -423,6 +424,13 @@ let streaming_tests =
           (rejected_as_xml (doc (package "<Stereotype name='s' junk='&nope;'/>")));
         check cb "skipped text" true
           (rejected_as_xml (doc ~header:"<a>&#xD800;</a>" (package ""))));
+    Alcotest.test_case "the root must be a top-level Package" `Quick (fun () ->
+        let cls = "<Class xmi.id=\"e1\" name=\"C\" isAbstract=\"false\" supers=\"\" realizes=\"\"/>" in
+        ignore (imports (doc (package cls)) : Mof.Model.t);
+        check cs "nested class" "root e1 is not a top-level element"
+          (xmi_message (doc ~root_ref:"e1" (package cls)));
+        check cs "top-level class" "root e1 is a Class, not a Package"
+          (xmi_message (doc ~root_ref:"e1" cls)));
   ]
 
 (* ---- strict numbers at the XMI boundary ---------------------------------- *)
